@@ -15,7 +15,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -135,6 +137,25 @@ FleetResult RunFleet(int shuttles, uint64_t requests_per_shuttle, int reps) {
   fr.conserves =
       result.requests_completed + result.requests_failed == result.requests_total;
   return fr;
+}
+
+// CPU model, core count, and compiler of the machine the sweep ran on:
+// events/sec only compares like with like, so recorded files name their host.
+std::string HostDescription() {
+  std::string model = "unknown CPU";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    const size_t colon = line.find(':');
+    const size_t start = colon == std::string::npos
+                             ? std::string::npos
+                             : line.find_first_not_of(" \t", colon + 1);
+    if (line.rfind("model name", 0) == 0 && start != std::string::npos) {
+      model = line.substr(start);
+      break;
+    }
+  }
+  return model + ", " + std::to_string(std::thread::hardware_concurrency()) +
+         " hardware threads, compiler " + __VERSION__;
 }
 
 }  // namespace
@@ -261,6 +282,7 @@ int main(int argc, char** argv) {
     std::printf("%s\n",
                 JsonObject()
                     .Field("bench", "traffic")
+                    .Field("host", HostDescription())
                     .Field("requests_per_shuttle", requests_per_shuttle)
                     .FieldRaw("fleets", JsonArray(items))
                     .Field("events_per_second_ratio_largest_vs_8", ratio)

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -360,6 +361,15 @@ class LibraryTwin {
   // Post-drain accounting; call once, after the last RunUntil. The returned
   // result is what SimulateLibrary would have returned.
   LibrarySimResult Finish();
+
+  // Consistency check of the partitioned dispatch indices (ready, orphaned,
+  // distressed, and actionable partitions; drive availability and per-
+  // partition available-drive counts; the pending-return total): recomputes
+  // each from shuttle, drive, and return-queue state and compares it with the
+  // incrementally maintained copy. Returns "" when all agree, else the names
+  // of the mismatching indices. O(partitions + drives + shuttles); meant for
+  // tests, between RunUntil slices.
+  std::string CheckControlPlaneIndices() const;
 
  private:
   struct Impl;

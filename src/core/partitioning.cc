@@ -155,6 +155,7 @@ Partitioner::Partitioner(const Panel& panel, int num_partitions) {
     narrowest = std::min(narrowest, p.x_max - p.x_min);
   }
   min_shift_width_m_ = std::min(kMaxShiftFloorM, 0.35 * narrowest);
+  BuildRowIndex();
 
   // The paper requires every partition to contain at least one read drive slot;
   // with dual-slot drives, a drive's two slots can satisfy two partitions, so
@@ -190,11 +191,37 @@ Partitioner::Partitioner(const Panel& panel, int num_partitions) {
   }
 }
 
-int Partitioner::PartitionOfSlot(double x, int shelf) const {
-  // Exact rectangle match first.
+void Partitioner::BuildRowIndex() {
+  int shelves = 0;
   for (const auto& p : partitions_) {
-    if (p.ContainsSlot(x, shelf)) {
-      return p.index;
+    shelves = std::max(shelves, p.shelf_max + 1);
+  }
+  rows_.assign(static_cast<size_t>(shelves), {});
+  for (const auto& p : partitions_) {
+    for (int shelf = p.shelf_min; shelf <= p.shelf_max; ++shelf) {
+      rows_[static_cast<size_t>(shelf)].push_back(RowEntry{p.x_min, p.index});
+    }
+  }
+  for (auto& row : rows_) {
+    std::sort(row.begin(), row.end(), [](const RowEntry& a, const RowEntry& b) {
+      return a.x_min < b.x_min || (a.x_min == b.x_min && a.index < b.index);
+    });
+  }
+}
+
+int Partitioner::PartitionOfSlot(double x, int shelf) const {
+  // Exact rectangle match first: the only candidate on the shelf's row is the
+  // rightmost rectangle starting at or before x.
+  if (shelf >= 0 && static_cast<size_t>(shelf) < rows_.size()) {
+    const auto& row = rows_[static_cast<size_t>(shelf)];
+    const auto it = std::upper_bound(
+        row.begin(), row.end(), x,
+        [](double v, const RowEntry& entry) { return v < entry.x_min; });
+    if (it != row.begin()) {
+      const Partition& p = partitions_[static_cast<size_t>((it - 1)->index)];
+      if (p.ContainsSlot(x, shelf)) {
+        return p.index;
+      }
     }
   }
   // Edge coordinates (x == global max) fall through; snap to the nearest rectangle.
@@ -266,6 +293,7 @@ bool Partitioner::ShiftBoundary(int hot, int cold) {
     return false;
   }
   history_.push_back(RebalanceStep{hot, cold, boundary});
+  BuildRowIndex();
   return true;
 }
 
@@ -316,6 +344,7 @@ void Partitioner::LoadState(StateReader& r) {
     step.boundary_x = sr.F64();
     return step;
   });
+  BuildRowIndex();
 }
 
 }  // namespace silica

@@ -52,7 +52,9 @@ class Partitioner {
   int size() const { return static_cast<int>(partitions_.size()); }
 
   // Partition owning the storage slot at (x, shelf). Every storage slot maps to
-  // exactly one partition.
+  // exactly one partition. O(log row width): a per-shelf row index finds the
+  // rectangle with the largest x_min <= x; coordinates no rectangle contains
+  // (x at the panel's right edge) snap to the nearest rectangle centroid.
   int PartitionOfSlot(double x, int shelf) const;
 
   // A convenient idle-parking position for the partition's shuttle: the centroid of
@@ -84,7 +86,19 @@ class Partitioner {
   void LoadState(StateReader& r);
 
  private:
+  // Row index entry: a rectangle crossing the shelf, keyed by its left edge.
+  struct RowEntry {
+    double x_min = 0.0;
+    int index = 0;
+  };
+  // Rebuilds rows_ from the rectangles (after construction, ShiftBoundary,
+  // and LoadState).
+  void BuildRowIndex();
+
   std::vector<Partition> partitions_;
+  // Per shelf: the rectangles covering it, sorted by x_min. Same-shelf
+  // rectangles never overlap, so at most one of them contains a given x.
+  std::vector<std::vector<RowEntry>> rows_;
   std::vector<RebalanceStep> history_;
   // Minimum rectangle width ShiftBoundary may leave behind. Derived from the
   // constructed grid (35% of the narrowest initial column, capped at half a

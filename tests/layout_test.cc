@@ -1,6 +1,11 @@
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/state_io.h"
 #include "core/layout.h"
 #include "core/partitioning.h"
 
@@ -282,6 +287,125 @@ TEST(Partitioner, PartitionsAreRectangularAndDisjointPerShelf) {
         }
       }
       EXPECT_EQ(containing, 1) << "x=" << x << " shelf=" << shelf;
+    }
+  }
+}
+
+// The linear scan PartitionOfSlot used before the per-shelf row index, kept
+// verbatim as the reference: first containing rectangle in index order, else
+// the nearest rectangle centroid.
+int LinearPartitionOfSlot(const Partitioner& partitioner, double x, int shelf) {
+  for (const auto& p : partitioner.partitions()) {
+    if (p.ContainsSlot(x, shelf)) {
+      return p.index;
+    }
+  }
+  int best = 0;
+  double best_score = 1e18;
+  for (const auto& p : partitioner.partitions()) {
+    const double cx = 0.5 * (p.x_min + p.x_max);
+    const double cy = 0.5 * (p.shelf_min + p.shelf_max);
+    const double score = std::fabs(cx - x) + std::fabs(cy - shelf);
+    if (score < best_score) {
+      best_score = score;
+      best = p.index;
+    }
+  }
+  return best;
+}
+
+// A panel sized for `partitions` active shuttles the way the fleet benches
+// size it: enough read drives for one partition per shuttle and enough racks
+// for 40 information platters per shuttle plus 16+3 redundancy.
+LibraryConfig FleetPanelConfig(int partitions, int read_racks) {
+  LibraryConfig config;
+  config.read_racks = read_racks;
+  config.drives_per_read_rack = std::max(5, (partitions + 1) / 2);
+  const int platters = 40 * partitions;
+  const int with_redundancy = platters + (platters + 15) / 16 * 3;
+  const int per_rack = config.shelves * config.slots_per_shelf;
+  config.storage_racks =
+      std::max(7, (with_redundancy + per_rack - 1) / per_rack);
+  return config;
+}
+
+// Asserts the row index agrees with the linear reference on every storage
+// slot, on both panel edges of every shelf, and on every boundary the
+// rebalance history ever moved (exact-boundary x values are where a
+// half-open [x_min, x_max) test is easiest to get wrong).
+void ExpectMatchesLinear(const Partitioner& partitioner, const Panel& panel,
+                         const LibraryConfig& config) {
+  for (int rack = 0; rack < config.storage_racks; ++rack) {
+    for (int shelf = 0; shelf < config.shelves; ++shelf) {
+      for (int slot = 0; slot < config.slots_per_shelf; ++slot) {
+        const double x = panel.SlotX({rack, shelf, slot});
+        ASSERT_EQ(partitioner.PartitionOfSlot(x, shelf),
+                  LinearPartitionOfSlot(partitioner, x, shelf))
+            << "rack " << rack << " shelf " << shelf << " slot " << slot;
+      }
+    }
+  }
+  std::vector<double> edges = {panel.StorageBeginX(), panel.StorageEndX()};
+  for (const auto& step : partitioner.rebalance_history()) {
+    edges.push_back(step.boundary_x);
+  }
+  for (double x : edges) {
+    for (int shelf = 0; shelf < config.shelves; ++shelf) {
+      ASSERT_EQ(partitioner.PartitionOfSlot(x, shelf),
+                LinearPartitionOfSlot(partitioner, x, shelf))
+          << "edge x " << x << " shelf " << shelf;
+    }
+  }
+}
+
+TEST(Partitioner, RowIndexMatchesLinearScanUnderRandomShifts) {
+  for (int n : {8, 64, 256}) {
+    // Eight partitions on a two-sided panel grid as one column per side (no
+    // same-row neighbours to shift against); a one-sided panel gives them
+    // two columns.
+    const LibraryConfig config = FleetPanelConfig(n, n == 8 ? 1 : 2);
+    const Panel panel(config);
+    for (uint64_t seed = 1; seed <= 50; ++seed) {
+      Partitioner partitioner(panel, n);
+      if (seed == 1) {
+        ExpectMatchesLinear(partitioner, panel, config);
+      }
+      Rng rng(seed * 1000 + static_cast<uint64_t>(n));
+      int applied = 0;
+      for (int step = 0; step < 4 * n; ++step) {
+        const int hot = static_cast<int>(rng.UniformInt(0, n - 1));
+        const int cold = rng.UniformInt(0, 1) == 0
+                             ? partitioner.LeftNeighborOf(hot)
+                             : partitioner.RightNeighborOf(hot);
+        applied += partitioner.ShiftBoundary(hot, cold) ? 1 : 0;
+      }
+      ASSERT_GT(applied, 0) << n << " partitions, seed " << seed;
+      ExpectMatchesLinear(partitioner, panel, config);
+      if (HasFatalFailure()) {
+        return;
+      }
+
+      // A restored partitioner rebuilds its row index from the loaded
+      // rectangles: same answers as the original and as the linear scan.
+      StateWriter w;
+      partitioner.SaveState(w);
+      Partitioner restored(panel, n);
+      StateReader r(w.bytes());
+      restored.LoadState(r);
+      for (int rack = 0; rack < config.storage_racks; ++rack) {
+        for (int shelf = 0; shelf < config.shelves; ++shelf) {
+          for (int slot : {0, config.slots_per_shelf / 2,
+                           config.slots_per_shelf - 1}) {
+            const double x = panel.SlotX({rack, shelf, slot});
+            ASSERT_EQ(restored.PartitionOfSlot(x, shelf),
+                      partitioner.PartitionOfSlot(x, shelf));
+          }
+        }
+      }
+      ExpectMatchesLinear(restored, panel, config);
+      if (HasFatalFailure()) {
+        return;
+      }
     }
   }
 }
