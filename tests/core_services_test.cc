@@ -53,9 +53,9 @@ TEST(RequestScheduler, SingleTakeForAblation) {
   RequestScheduler s;
   s.Submit(Req(1, 1.0, 100));
   s.Submit(Req(2, 2.0, 100));
-  const auto first = s.TakeRequests(100, /*all=*/false);
-  EXPECT_EQ(first.size(), 1u);
-  EXPECT_EQ(first[0].id, 1u);
+  ReadRequest first;
+  ASSERT_TRUE(s.TakeFront(100, &first));
+  EXPECT_EQ(first.id, 1u);
   EXPECT_TRUE(s.HasRequests(100));
   // Selection order is preserved for the remaining request.
   EXPECT_EQ(s.EarliestArrival(100), 2.0);
@@ -109,11 +109,13 @@ TEST(RequestScheduler, EarliestArrivalAfterPartialPops) {
   s.Submit(Req(2, 2.0, 100));
   s.Submit(Req(3, 3.0, 100));
   EXPECT_EQ(s.EarliestArrival(100), 1.0);
-  s.TakeRequests(100, /*all=*/false);
+  ReadRequest popped;
+  ASSERT_TRUE(s.TakeFront(100, &popped));
   EXPECT_EQ(s.EarliestArrival(100), 2.0);
-  s.TakeRequests(100, /*all=*/false);
+  ASSERT_TRUE(s.TakeFront(100, &popped));
   EXPECT_EQ(s.EarliestArrival(100), 3.0);
-  s.TakeRequests(100, /*all=*/false);
+  ASSERT_TRUE(s.TakeFront(100, &popped));
+  EXPECT_FALSE(s.TakeFront(100, &popped));
   EXPECT_FALSE(s.EarliestArrival(100).has_value());
   EXPECT_FALSE(s.HasRequests(100));
   EXPECT_EQ(s.pending_requests(), 0u);
@@ -127,13 +129,13 @@ TEST(RequestScheduler, RequeueRestoresFrontAndSelectionOrder) {
   s.Submit(Req(1, 1.0, 100, 10));
   s.Submit(Req(2, 2.0, 100, 20));
   s.Submit(Req(3, 1.5, 200, 30));
-  const auto popped = s.TakeRequests(100, /*all=*/false);
-  ASSERT_EQ(popped.size(), 1u);
+  ReadRequest popped;
+  ASSERT_TRUE(s.TakeFront(100, &popped));
   // With request 1 out, platter 200's 1.5 s arrival beats 100's 2.0 s.
   auto all = [](uint64_t) { return true; };
   EXPECT_EQ(s.SelectPlatter(all), 200u);
 
-  s.Requeue(popped[0]);
+  s.Requeue(popped);
   EXPECT_EQ(s.SelectPlatter(all), 100u);  // oldest read leads again
   EXPECT_EQ(s.EarliestArrival(100), 1.0);
   EXPECT_EQ(s.QueuedBytes(100), 30u);

@@ -38,6 +38,31 @@ bool SameRequest(const ReadRequest& a, const ReadRequest& b) {
          a.bytes == b.bytes && a.platter == b.platter && a.parent == b.parent;
 }
 
+// Drains the platter's group (`all`) or pops just its oldest request, returned
+// as a batch either way so both schedulers compare alike.
+std::vector<ReadRequest> Take(RequestScheduler& s, uint64_t platter, bool all) {
+  if (all) {
+    return s.TakeRequests(platter);
+  }
+  std::vector<ReadRequest> taken(1);
+  if (!s.TakeFront(platter, &taken[0])) {
+    taken.clear();
+  }
+  return taken;
+}
+
+std::vector<ReadRequest> Take(ShardedScheduler& s, int shard, uint64_t platter,
+                              bool all) {
+  if (all) {
+    return s.TakeRequests(shard, platter);
+  }
+  std::vector<ReadRequest> taken(1);
+  if (!s.TakeFront(shard, platter, &taken[0])) {
+    taken.clear();
+  }
+  return taken;
+}
+
 TEST(ShardedScheduler, OneShardByteIdenticalToBareScheduler) {
   constexpr uint64_t kPlatters = 24;
   for (uint64_t seed = 1; seed <= 50; ++seed) {
@@ -60,8 +85,8 @@ TEST(ShardedScheduler, OneShardByteIdenticalToBareScheduler) {
       } else if (kind < 8) {  // take (sometimes partial), sometimes put back
         const uint64_t platter = rng.UniformInt(0, static_cast<int64_t>(kPlatters) - 1);
         const bool all = rng.UniformInt(0, static_cast<int64_t>(2) - 1) == 0;
-        const auto got = sharded.TakeRequests(0, platter, all);
-        const auto want = bare.TakeRequests(platter, all);
+        const auto got = Take(sharded, 0, platter, all);
+        const auto want = Take(bare, platter, all);
         ASSERT_EQ(got.size(), want.size());
         for (size_t i = 0; i < got.size(); ++i) {
           EXPECT_TRUE(SameRequest(got[i], want[i]));
@@ -124,8 +149,8 @@ TEST(ShardedScheduler, OneShardMatchesBareSchedulerOnFig9Trace) {
     }
     ASSERT_EQ(*got, *want);
     const bool all = rng.UniformInt(0, static_cast<int64_t>(4) - 1) != 0;  // mostly whole-group mounts
-    const auto taken = sharded.TakeRequests(0, *got, all);
-    const auto expected = bare.TakeRequests(*want, all);
+    const auto taken = Take(sharded, 0, *got, all);
+    const auto expected = Take(bare, *want, all);
     ASSERT_EQ(taken.size(), expected.size());
     for (size_t i = 0; i < taken.size(); ++i) {
       ASSERT_TRUE(SameRequest(taken[i], expected[i]));
@@ -167,7 +192,7 @@ TEST(ShardedScheduler, DonorOrderMatchesScanAndSortAcrossSeeds) {
         sched.Submit(shard, {next_id++, arrival, 0, 1 + rng.UniformInt(0, static_cast<int64_t>(1 << 16) - 1),
                              platter, 0});
       } else {
-        sched.TakeRequests(shard, platter, rng.UniformInt(0, static_cast<int64_t>(2) - 1) == 0);
+        Take(sched, shard, platter, rng.UniformInt(0, static_cast<int64_t>(2) - 1) == 0);
       }
       if (op % 10 != 0) {
         continue;
@@ -221,7 +246,7 @@ TEST(ShardedScheduler, MigrateQueueConservesAndKeepsArrivalOrder) {
   EXPECT_EQ(sched.pending_requests(), pending_before);
   EXPECT_FALSE(sched.HasRequests(0, kPlatter));
   EXPECT_TRUE(sched.HasRequests(0, 6));  // bystander stayed put
-  const auto moved = sched.TakeRequests(2, kPlatter, /*all=*/true);
+  const auto moved = sched.TakeRequests(2, kPlatter);
   ASSERT_EQ(moved.size(), submitted.size());
   for (size_t i = 0; i < moved.size(); ++i) {
     EXPECT_TRUE(SameRequest(moved[i], submitted[i]));
@@ -258,8 +283,8 @@ TEST(ShardedScheduler, ScanMemoClearsOnMutationAndTracksEpoch) {
 
   // Draining the queue leaves the shard out of the live count even with a
   // clear memo: live shards are nonzero shards that might yield a target.
-  sched.TakeRequests(0, 0, /*all=*/true);
-  sched.TakeRequests(0, 1, /*all=*/true);
+  sched.TakeRequests(0, 0);
+  sched.TakeRequests(0, 1);
   EXPECT_EQ(sched.live_nonzero_shards(), 0);
 }
 
